@@ -697,10 +697,8 @@ fn run_kernel_ab(inst: &Instance) -> Result<AbReport, String> {
             let work = trace.counter_total(Counter::MinimizeCalls);
             let dispatches = trace.counter_total(Counter::KernelDispatches);
             let served = match backend {
-                KernelBackend::Wide if cfg!(feature = "simd") => {
-                    trace.counter_total(Counter::KernelWideCalls)
-                }
-                _ => trace.counter_total(Counter::KernelScalarCalls),
+                KernelBackend::Wide => trace.counter_total(Counter::KernelWideCalls),
+                KernelBackend::Scalar => trace.counter_total(Counter::KernelScalarCalls),
             };
             if served != dispatches {
                 return Err(format!(

@@ -253,7 +253,6 @@ mod tests {
             u64::try_from(2 * v1.evaluated).expect("fits"),
             "conservation across both runs"
         );
-        #[cfg(feature = "minimize-cache")]
         assert!(stats.hits >= u64::try_from(v1.evaluated).expect("fits"));
     }
 

@@ -18,9 +18,9 @@
 //! order — computes the same value for a given key, so cache hits can never
 //! change a result, only skip recomputation. The capacity bound only stops
 //! *inserting* (deterministically, by call order), never evicts, so a warm
-//! entry stays warm. With the `minimize-cache` feature disabled the map is
-//! compiled out and every call is an honest miss; results are bit-identical
-//! either way, which the differential tests assert.
+//! entry stays warm. Results are bit-identical to an uncached run
+//! ([`MinimizeCache::minimized_cube_count_uncached`]), which the
+//! differential tests assert.
 //!
 //! Observability: every call bumps [`obs::Counter::MinimizeCalls`] and
 //! exactly one of [`obs::Counter::MinimizeCacheHit`] /
@@ -35,7 +35,6 @@ use crate::cover::Cover;
 use crate::espresso::{espresso_bounded, MinimizeOptions};
 use crate::flat::{flat_minimized_len, MinimizeScratch};
 use crate::obs;
-#[cfg(feature = "minimize-cache")]
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -78,7 +77,6 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 16;
 /// traces stay independent of thread count and scheduling.
 #[derive(Debug)]
 pub struct MinimizeCache {
-    #[cfg(feature = "minimize-cache")]
     map: HashMap<Vec<u64>, usize>,
     capacity: usize,
     hits: u64,
@@ -103,7 +101,6 @@ impl MinimizeCache {
     /// memoized (it never evicts, so results stay deterministic).
     pub fn with_capacity(capacity: usize) -> MinimizeCache {
         MinimizeCache {
-            #[cfg(feature = "minimize-cache")]
             map: HashMap::new(),
             capacity,
             hits: 0,
@@ -123,17 +120,9 @@ impl MinimizeCache {
         self.misses
     }
 
-    /// Number of memoized entries (always 0 with the `minimize-cache`
-    /// feature disabled).
+    /// Number of memoized entries.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "minimize-cache")]
-        {
-            self.map.len()
-        }
-        #[cfg(not(feature = "minimize-cache"))]
-        {
-            0
-        }
+        self.map.len()
     }
 
     /// Whether no entries are memoized.
@@ -193,7 +182,6 @@ impl MinimizeCache {
     pub fn minimized_cube_count(&mut self, on: &Cover, dc: &Cover, engine: CoverEngine) -> usize {
         obs::count(obs::Counter::MinimizeCalls, 1);
         self.build_key(on, dc, engine);
-        #[cfg(feature = "minimize-cache")]
         if let Some(&n) = self.map.get(self.key.as_slice()) {
             self.hits += 1;
             obs::count(obs::Counter::MinimizeCacheHit, 1);
@@ -202,7 +190,6 @@ impl MinimizeCache {
         self.misses += 1;
         obs::count(obs::Counter::MinimizeCacheMiss, 1);
         let n = self.run(on, dc, engine);
-        #[cfg(feature = "minimize-cache")]
         if self.map.len() < self.capacity {
             self.map.insert(self.key.clone(), n);
         }
@@ -269,8 +256,8 @@ pub struct CacheStats {
     pub calls: u64,
     /// Lookups answered from a shard without running the minimizer.
     pub hits: u64,
-    /// Lookups that ran the minimizer (cold entry, evicted entry, feature
-    /// disabled, or a poisoned/chaos-bypassed shard).
+    /// Lookups that ran the minimizer (cold entry, evicted entry, or a
+    /// poisoned/chaos-bypassed shard).
     pub misses: u64,
     /// Lookups that bypassed the map because a shard was poisoned (real
     /// lock poisoning or the `cache.shard` chaos point). Always ≤ `misses`.
@@ -301,9 +288,7 @@ pub struct CacheStats {
 /// cube sequence), so the cache can change only *work*, never results.
 #[derive(Debug, Default)]
 struct Shard {
-    #[cfg(feature = "minimize-cache")]
     live: HashMap<Vec<u64>, usize>,
-    #[cfg(feature = "minimize-cache")]
     prev: HashMap<Vec<u64>, usize>,
     epoch: u64,
 }
@@ -326,9 +311,6 @@ struct Shard {
 /// * **Poison-safe** — a worker that panics while holding a shard lock (or
 ///   the `cache.shard` chaos point) degrades lookups to honest misses; the
 ///   poisoned shard's entries are discarded and the shard keeps serving.
-///
-/// With the `minimize-cache` feature disabled the maps compile out and
-/// every lookup is an honest miss, exactly like the per-run cache.
 #[derive(Debug)]
 pub struct GlobalMinimizeCache {
     shards: Box<[Mutex<Shard>]>,
@@ -390,12 +372,7 @@ impl GlobalMinimizeCache {
         for shard in self.shards.iter() {
             if let Ok(s) = shard.lock() {
                 epoch_advances += s.epoch;
-                #[cfg(feature = "minimize-cache")]
-                {
-                    entries += s.live.len() + s.prev.len();
-                }
-                #[cfg(not(feature = "minimize-cache"))]
-                let _ = &s;
+                entries += s.live.len() + s.prev.len();
             }
         }
         CacheStats {
@@ -410,7 +387,7 @@ impl GlobalMinimizeCache {
         }
     }
 
-    /// Total memoized entries (0 with the `minimize-cache` feature off).
+    /// Total memoized entries.
     pub fn len(&self) -> usize {
         self.stats().entries
     }
@@ -455,44 +432,32 @@ impl GlobalMinimizeCache {
     /// the live one. Does not touch the hit/miss tallies — the calling
     /// [`MinimizeCache::minimized_cube_count_shared`] owns the counter
     /// discipline.
-    #[cfg_attr(not(feature = "minimize-cache"), allow(unused_variables))]
     fn lookup(&self, key: &[u64]) -> Option<usize> {
-        #[cfg(feature = "minimize-cache")]
-        {
-            let index = self.shard_index(key);
-            let mut shard = self.shard(index);
-            if let Some(&n) = shard.live.get(key) {
-                return Some(n);
-            }
-            if let Some(n) = shard.prev.remove(key) {
-                // Promote: hot entries survive any number of epochs. The
-                // live generation may momentarily exceed its budget here;
-                // the next insert rebalances.
-                shard.live.insert(key.to_vec(), n);
-                return Some(n);
-            }
-            None
+        let index = self.shard_index(key);
+        let mut shard = self.shard(index);
+        if let Some(&n) = shard.live.get(key) {
+            return Some(n);
         }
-        #[cfg(not(feature = "minimize-cache"))]
-        {
-            None
+        if let Some(n) = shard.prev.remove(key) {
+            // Promote: hot entries survive any number of epochs. The
+            // live generation may momentarily exceed its budget here;
+            // the next insert rebalances.
+            shard.live.insert(key.to_vec(), n);
+            return Some(n);
         }
+        None
     }
 
     /// Inserts `key → value`, advancing the shard's epoch (retiring the
     /// previous generation) when the live one is full.
-    #[cfg_attr(not(feature = "minimize-cache"), allow(unused_variables))]
     fn insert(&self, key: &[u64], value: usize) {
-        #[cfg(feature = "minimize-cache")]
-        {
-            let index = self.shard_index(key);
-            let mut shard = self.shard(index);
-            if shard.live.len() >= self.shard_capacity {
-                shard.epoch = shard.epoch.saturating_add(1);
-                shard.prev = std::mem::take(&mut shard.live);
-            }
-            shard.live.insert(key.to_vec(), value);
+        let index = self.shard_index(key);
+        let mut shard = self.shard(index);
+        if shard.live.len() >= self.shard_capacity {
+            shard.epoch = shard.epoch.saturating_add(1);
+            shard.prev = std::mem::take(&mut shard.live);
         }
+        shard.live.insert(key.to_vec(), value);
     }
 }
 
@@ -556,17 +521,9 @@ mod tests {
         let a = cache.minimized_cube_count(&on, &dc, CoverEngine::Flat);
         let b = cache.minimized_cube_count(&on, &dc, CoverEngine::Flat);
         assert_eq!(a, b);
-        #[cfg(feature = "minimize-cache")]
-        {
-            assert_eq!(cache.misses(), 1);
-            assert_eq!(cache.hits(), 1);
-            assert_eq!(cache.len(), 1);
-        }
-        #[cfg(not(feature = "minimize-cache"))]
-        {
-            assert_eq!(cache.hits(), 0);
-            assert_eq!(cache.misses(), 2);
-        }
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -581,12 +538,9 @@ mod tests {
         // each order computes its own entry; repeating either order hits it
         assert_eq!(cache.minimized_cube_count(&on_a, &dc, CoverEngine::Flat), a);
         assert_eq!(cache.minimized_cube_count(&on_b, &dc, CoverEngine::Flat), b);
-        #[cfg(feature = "minimize-cache")]
-        {
-            assert_eq!(cache.len(), 2);
-            assert_eq!(cache.misses(), 2);
-            assert_eq!(cache.hits(), 2);
-        }
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.hits(), 2);
     }
 
     /// Regression for the order-sensitivity bug: ESPRESSO can minimize a
@@ -607,8 +561,8 @@ mod tests {
             for engine in [CoverEngine::Flat, CoverEngine::Legacy] {
                 let fresh =
                     MinimizeCache::new().minimized_cube_count_uncached(&on, &dc, engine);
-                // first lookup (a miss) and second lookup (a hit with the
-                // feature on) must both agree with the uncached run
+                // first lookup (a miss) and second lookup (a hit) must both
+                // agree with the uncached run
                 assert_eq!(cache.minimized_cube_count(&on, &dc, engine), fresh);
                 assert_eq!(cache.minimized_cube_count(&on, &dc, engine), fresh);
             }
@@ -626,12 +580,9 @@ mod tests {
         let _ = cache.minimized_cube_count(&on_b, &dc, CoverEngine::Flat);
         let _ = cache.minimized_cube_count(&on_a, &dc, CoverEngine::Flat);
         assert!(cache.len() <= 1);
-        #[cfg(feature = "minimize-cache")]
-        {
-            // the first cover stays warm; the second never inserts
-            assert_eq!(cache.hits(), 1);
-            assert_eq!(cache.misses(), 2);
-        }
+        // the first cover stays warm; the second never inserts
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.misses(), 2);
     }
 
     /// Regression for the capacity *boundary*: the bound is `len() <
@@ -648,16 +599,13 @@ mod tests {
         for on in &covers {
             let _ = cache.minimized_cube_count(on, &dc, CoverEngine::Flat);
         }
-        #[cfg(feature = "minimize-cache")]
-        {
-            assert_eq!(cache.len(), 2, "slot at exactly capacity is used");
-            // repeats: the two memoized covers hit, the refused third misses
-            for on in &covers {
-                let _ = cache.minimized_cube_count(on, &dc, CoverEngine::Flat);
-            }
-            assert_eq!(cache.hits(), 2);
-            assert_eq!(cache.misses(), 4);
+        assert_eq!(cache.len(), 2, "slot at exactly capacity is used");
+        // repeats: the two memoized covers hit, the refused third misses
+        for on in &covers {
+            let _ = cache.minimized_cube_count(on, &dc, CoverEngine::Flat);
         }
+        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.misses(), 4);
     }
 
     #[test]
@@ -680,22 +628,12 @@ mod tests {
         assert_eq!(a, uncached, "shared hits stay bit-identical to uncached");
         let stats = global.stats();
         assert_eq!(stats.hits + stats.misses, 2, "conservation across shards");
-        #[cfg(feature = "minimize-cache")]
-        {
-            assert_eq!(stats.hits, 1);
-            assert_eq!(stats.misses, 1);
-            assert_eq!(run_b.hits(), 1, "per-run tallies still meaningful");
-            assert_eq!(global.len(), 1);
-        }
-        #[cfg(not(feature = "minimize-cache"))]
-        {
-            assert_eq!(stats.hits, 0);
-            assert_eq!(stats.misses, 2);
-            assert!(global.is_empty());
-        }
+        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.misses, 1);
+        assert_eq!(run_b.hits(), 1, "per-run tallies still meaningful");
+        assert_eq!(global.len(), 1);
     }
 
-    #[cfg(feature = "minimize-cache")]
     #[test]
     fn global_cache_epoch_eviction_keeps_hot_entries() {
         let dom = Domain::binary(4);
@@ -745,11 +683,9 @@ mod tests {
         // disarmed again: the entry (inserted by the clean miss) hits
         let after = cache.minimized_cube_count_shared(&global, &on, &dc, CoverEngine::Flat);
         assert_eq!(after, clean);
-        #[cfg(feature = "minimize-cache")]
         assert_eq!(global.stats().hits, 1);
     }
 
-    #[cfg(feature = "minimize-cache")]
     #[test]
     fn global_cache_is_usable_concurrently() {
         use std::sync::Arc;

@@ -6,7 +6,7 @@
 //!    [`Cube`] operations, on mixed binary/multi-valued and multi-word
 //!    domains;
 //! 2. [`flat_espresso_bounded`] against [`espresso_bounded`] — bit-identical
-//!    covers, completions, and (with `obs` on) byte-identical traces, on
+//!    covers, completions, and byte-identical traces, on
 //!    unlimited and tightly bounded budgets alike. The corpus spans every
 //!    rung of the flat engine's specialization ladder: the single-word
 //!    binary fast path plus multi-valued domains at 1-, 2-, 4-, and 8-word
@@ -319,7 +319,7 @@ proptest! {
         let mut cached = MinimizeCache::new();
         let mut uncached = MinimizeCache::new();
         let reference = cached.minimized_cube_count(&on, &dc, CoverEngine::Flat);
-        // repeat lookup (a hit when the feature is on) must agree
+        // repeat lookup (a hit) must agree
         prop_assert_eq!(
             cached.minimized_cube_count(&on, &dc, CoverEngine::Flat),
             reference

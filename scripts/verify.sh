@@ -22,14 +22,25 @@ for arg in "$@"; do
     esac
 done
 
+echo "== one build configuration (no cargo features, no cfg(feature) gates)"
+# Every runtime switch (a disabled Recorder, EvalOptions { cache: false },
+# PICOLA_SIMD / the KernelBackend override) replaces a compile-time one;
+# a feature gate coming back would split the build into configurations
+# that CI no longer tests.
+if grep -rnE 'cfg!?\(.*feature' crates src tests examples; then
+    echo "verify.sh: cfg(feature) gate found (see above)" >&2
+    exit 1
+fi
+if grep -ln '^\[features\]' Cargo.toml crates/*/Cargo.toml; then
+    echo "verify.sh: [features] table found in the manifest(s) above" >&2
+    exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release --offline
 
 echo "== cargo test (workspace)"
 cargo test -q --offline --workspace
-
-echo "== cargo test (workspace, no default features — obs stubbed out)"
-cargo test -q --offline --workspace --no-default-features
 
 echo "== cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -58,11 +69,21 @@ if command -v python3 >/dev/null 2>&1; then
     # baseline; the refine A/B invariants are validated as part of this.
     python3 scripts/check_bench_metrics.py /tmp/bench_smoke.json \
         --baseline BENCH_pr3.json
+    # Every checked-in report stays valid: a non-empty metrics block per
+    # instance and the A/B invariants of its schema.
+    python3 scripts/check_bench_metrics.py BENCH_pr3.json
     python3 scripts/check_bench_metrics.py BENCH_pr4.json
+    # Schema v4 adds the eval/enc A/B legs (flat/legacy engines and
+    # cache-on/off runs agree); the deterministic per-encoder work
+    # counters are additionally gated against the pr4 report (+20%).
+    python3 scripts/check_bench_metrics.py BENCH_pr5.json \
+        --baseline BENCH_pr4.json
     # The checked-in large-tier report carries the serve_ab A/B (schema
     # v5): warm global-cache runs must be bit-identical to cold runs and
-    # must actually hit the shared cache (warm_hit_rate >= 0.9).
-    python3 scripts/check_bench_metrics.py BENCH_pr6.json
+    # must actually hit the shared cache (warm_hit_rate >= 0.9); work
+    # counters are gated against the pr5 report (+20%).
+    python3 scripts/check_bench_metrics.py BENCH_pr6.json \
+        --baseline BENCH_pr5.json
     # Schema v6 adds the mv_ab leg (flat vs legacy on multi-valued covers,
     # bit-identical costs required); the deterministic work counters are
     # additionally gated against the pr6 report (+20%).
