@@ -81,8 +81,9 @@ impl EncLikeEncoder {
     /// [`EncLikeEncoder::encode_detailed_bounded`] pricing through a
     /// caller-supplied [`EvalContext`]. A context wired to a shared
     /// [`picola_core::GlobalMinimizeCache`] lets one run warm the next —
-    /// the basis of the daemon's cross-request warmth and the `serve_ab`
-    /// bench leg — without changing any result (caching is bit-invisible).
+    /// the basis of the daemon's cross-request warmth — without changing
+    /// any result (caching is bit-invisible; see
+    /// `tests/differential_encoders.rs`).
     pub fn encode_detailed_in_context(
         &self,
         n: usize,

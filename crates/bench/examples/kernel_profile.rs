@@ -9,31 +9,8 @@
 
 use std::time::Instant;
 
-use picola_bench::{corpus_tier, Instance, Tier};
-use picola_logic::{Cover, Cube, DomainBuilder, MinimizeCache};
-
-/// Mirrors `bench_json::mv_cover`: one MV variable over the symbols, one
-/// over the constraint tags, one cube per constraint.
-fn mv_cover(inst: &Instance) -> (Cover, Cover) {
-    let tags = inst.constraints.len().max(2);
-    let dom = DomainBuilder::new()
-        .multi("s", inst.n.max(2))
-        .multi("t", tags)
-        .build();
-    let sym_off = dom.var(0).offset();
-    let mut on = Cover::empty(&dom);
-    for (i, c) in inst.constraints.iter().enumerate() {
-        let mut cube = Cube::full(&dom);
-        for p in 0..inst.n.max(2) {
-            if !c.members().contains(p) {
-                cube.clear_part(sym_off + p);
-            }
-        }
-        cube.restrict(&dom, 1, i);
-        on.push(cube);
-    }
-    (on, Cover::empty(&dom))
-}
+use picola_bench::{corpus_tier, Tier};
+use picola_logic::MinimizeCache;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -41,7 +18,7 @@ fn main() {
     let iters: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(200);
     let insts = corpus_tier(index + 1, 0x0001_C01A, Tier::Large);
     let inst = &insts[index];
-    let (on, dc) = mv_cover(inst);
+    let (on, dc) = inst.mv_cover();
     let dom = on.domain();
     eprintln!(
         "{}: n={} tags={} words={} cubes={} backend={:?}",

@@ -4,10 +4,10 @@
 //! serialized as JSON they were the dominant I/O cost of the bench path.
 //! These codecs put them in the `picola_logic::binio` wire format
 //! (versioned self-describing header, LEB128 varints, length-prefixed
-//! strings — byte layouts in DESIGN.md §18), with JSON kept as a *debug
-//! export*: every artifact also renders as deterministic JSON, and the
-//! decode of a binary artifact re-encodes bit-identically (pinned by the
-//! test suite across the standard and large tiers).
+//! strings — byte layouts in DESIGN.md §18). Corpus instances also render
+//! as deterministic JSON ([`instance_json`]) for debugging, and the decode
+//! of a binary artifact re-encodes bit-identically (pinned by the test
+//! suite across the standard and large tiers).
 //!
 //! Decoding never panics: hostile bytes yield structured
 //! [`BinioError`]s, the same bar as the store records and the PR 1
@@ -229,37 +229,6 @@ pub fn decode_records(bytes: &[u8]) -> Result<Vec<StreamRecord>, BinioError> {
     Ok(records)
 }
 
-/// The deterministic JSON debug export of a record batch.
-#[must_use]
-pub fn records_json(records: &[StreamRecord]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(64 + records.len() * 96);
-    s.push('[');
-    for (i, rec) in records.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"index\":{},\"key\":\"{:016x}\",\"n\":{},\"nv\":{},\
-             \"codes_digest\":\"{:016x}\",\"total_cubes\":{},\"satisfied\":{},\
-             \"evaluated\":{},\"store_hit\":{},\"complete\":{}}}",
-            rec.index,
-            rec.key,
-            rec.n,
-            rec.nv,
-            rec.codes_digest,
-            rec.total_cubes,
-            rec.satisfied,
-            rec.evaluated,
-            rec.store_hit,
-            rec.complete
-        );
-    }
-    s.push(']');
-    s
-}
-
 fn usize_field(v: u64, offset: usize) -> Result<usize, BinioError> {
     usize::try_from(v).map_err(|_| BinioError {
         offset,
@@ -330,6 +299,5 @@ mod tests {
         let bytes = encode_records(&records);
         assert_eq!(decode_records(&bytes).unwrap(), records);
         assert!(decode_records(&bytes[..bytes.len() - 1]).is_err());
-        assert!(records_json(&records).starts_with("[{\"index\":0"));
     }
 }

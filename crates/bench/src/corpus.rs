@@ -7,6 +7,7 @@
 
 use picola_baselines::splitmix64;
 use picola_constraints::{min_code_length, GroupConstraint, SymbolSet};
+use picola_logic::{Cover, Cube, DomainBuilder};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -56,6 +57,38 @@ pub struct Instance {
     /// Encode with this many bits instead of `ceil(log2 n)` (large-tier
     /// instances occasionally grant one spare bit; `None` elsewhere).
     pub nv_override: Option<usize>,
+}
+
+impl Instance {
+    /// Renders the constraint set as a genuinely multi-valued cover (the
+    /// `kernel_ab` bench workload): one MV variable over the `n` symbols,
+    /// one over the constraint tags, and one cube per constraint whose
+    /// symbol literal is the member set and whose tag literal is that
+    /// constraint's index. On the large tier this spans several cube words
+    /// (128 symbol parts alone is two words), so minimizing it exercises
+    /// the flat engine's multi-word kernels. Returns `(on, dc)`; the
+    /// don't-care cover is empty.
+    #[must_use]
+    pub fn mv_cover(&self) -> (Cover, Cover) {
+        let tags = self.constraints.len().max(2);
+        let dom = DomainBuilder::new()
+            .multi("s", self.n.max(2))
+            .multi("t", tags)
+            .build();
+        let sym_off = dom.var(0).offset();
+        let mut on = Cover::empty(&dom);
+        for (i, c) in self.constraints.iter().enumerate() {
+            let mut cube = Cube::full(&dom);
+            for p in 0..self.n.max(2) {
+                if !c.members().contains(p) {
+                    cube.clear_part(sym_off + p);
+                }
+            }
+            cube.restrict(&dom, 1, i);
+            on.push(cube);
+        }
+        (on, Cover::empty(&dom))
+    }
 }
 
 /// Generate `count` standard-tier instances from `master_seed`.

@@ -19,8 +19,7 @@ pub mod corpus;
 pub mod stream;
 
 pub use artifact::{
-    decode_instance, decode_records, encode_instance, encode_records, instance_json,
-    records_json, StreamRecord,
+    decode_instance, decode_records, encode_instance, encode_records, instance_json, StreamRecord,
 };
 pub use corpus::{corpus, corpus_tier, generate_iter, Instance, Tier};
 pub use stream::{codes_digest, run_stream, StreamConfig, StreamReport};

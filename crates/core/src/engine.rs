@@ -20,8 +20,7 @@ use std::sync::Arc;
 /// Configuration shared by every job an [`EngineHandle`] runs.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Options of the PICOLA encoder (cost model, ablations, threads,
-    /// refine engine).
+    /// Options of the PICOLA encoder (cost model, ablations, threads).
     pub picola: PicolaOptions,
     /// Options of the evaluation pipeline (minimizer, cover engine, cache).
     pub eval: EvalOptions,

@@ -68,7 +68,7 @@ pub use picola::{
     try_picola_encode_with, Encoder, PicolaEncoder, PicolaOptions, PicolaResult,
 };
 pub use portfolio::{EncoderPortfolio, MemberOutcome, PortfolioOutcome};
-pub use refine::{CandCursor, CodeTable, RefineCand, RefineEngine, RefineScratch};
+pub use refine::{CandCursor, CodeTable, RefineCand, RefineScratch};
 pub use report::RunReport;
 pub use solve::solve_column;
 pub use store::{

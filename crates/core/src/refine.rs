@@ -15,15 +15,11 @@
 //! applying an accepted candidate updates the table in place — no rescans,
 //! no allocation.
 //!
-//! Two engine variants share the table so benches can race them:
-//!
-//! - [`RefineEngine::Incremental`] (default) evaluates off the cached
-//!   lists and short-circuits satisfied faces through the cached-supercube
-//!   fast path (see [`CodeTable::eval`]).
-//! - [`RefineEngine::Naive`] re-derives the lists from the candidate codes
-//!   exactly like the pre-table engine did, per-candidate allocations
-//!   included — the reference both for the property suite and for honest
-//!   before/after bench numbers.
+//! [`CodeTable::eval`] short-circuits satisfied faces through the
+//! cached-supercube fast path. [`CodeTable::eval_naive`] keeps the
+//! pre-table derivation (lists re-derived from the candidate codes,
+//! per-candidate allocations included) as the per-candidate reference the
+//! property suite and the unit tests diff against.
 //!
 //! Both produce **bit-identical** results: the greedy cover count depends
 //! only on the order of the uncovered member codes, and the cached lists
@@ -33,19 +29,6 @@ use crate::eval::{greedy_cover_count, CubesScratch};
 use picola_constraints::{CodeCube, GroupConstraint};
 use picola_logic::simd::{self, Mask1, Mask2, MaskKernel, MaskN};
 use picola_logic::WordSet;
-
-/// Which evaluation kernel the refinement pass uses. Both kernels return
-/// identical results; they differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefineEngine {
-    /// Cached incremental [`CodeTable`] evaluation (the default).
-    #[default]
-    Incremental,
-    /// From-scratch list derivation per evaluation — the pre-table
-    /// reference engine, kept selectable for differential tests and
-    /// before/after benchmarks.
-    Naive,
-}
 
 /// A refinement candidate: swap two symbols' codes, or move one symbol to
 /// a (currently free) code word.
@@ -150,7 +133,7 @@ impl Iterator for CandCursor {
 }
 
 /// Reusable per-worker buffers for candidate evaluation. One instance per
-/// worker thread: after warm-up, neither engine allocates per candidate.
+/// worker thread: after warm-up, evaluation allocates nothing per candidate.
 #[derive(Debug, Clone, Default)]
 pub struct RefineScratch {
     /// Uncovered/forbidden code lists for the greedy cover loop.
@@ -637,11 +620,11 @@ impl CodeTable {
     /// the full candidate code vector and re-derive each touched
     /// constraint's lists from it with the allocating greedy — a faithful
     /// reproduction of the engine this table replaced, per-candidate heap
-    /// traffic included, so the bench A/B measures the real before/after.
-    /// The one deliberate deviation is the touched filter, which both
-    /// engines now share in its corrected form (a moved forbidden code
-    /// staying *inside* a supercube can still change that constraint's
-    /// cover — the old `contains(old) != contains(new)` test missed it).
+    /// traffic included. The one deliberate deviation is the touched
+    /// filter, which both paths share in its corrected form (a moved
+    /// forbidden code staying *inside* a supercube can still change that
+    /// constraint's cover — the old `contains(old) != contains(new)` test
+    /// missed it).
     /// Identical results to [`CodeTable::eval`] (the property suite diffs
     /// the two).
     #[must_use]

@@ -88,8 +88,8 @@ pub enum Counter {
     RefineRejects,
     /// Refine candidate evaluations served entirely from reusable
     /// per-worker scratch (no per-candidate heap allocation) by the
-    /// incremental code-table engine. Equals [`Counter::RefineEvals`] when
-    /// the default engine runs; zero under the naive reference engine.
+    /// incremental code-table engine. Always equals
+    /// [`Counter::RefineEvals`].
     RefineScratchReuse,
     /// Simulated-annealing moves accepted.
     AnnealAccepts,

@@ -9,23 +9,6 @@ Fails (exit 1) unless the report parses as JSON and every instance carries
 a non-empty `metrics` block: positive `total_work` and a span tree with at
 least one child under the root.
 
-When an instance carries a `refine` A/B block (schema v3+), its invariant
-flags must hold: `engines_match` (incremental and naive engines produced
-identical encodings) and `parallel_matches_sequential` (thread count does
-not change results).
-
-When an instance carries `eval_ab` / `enc_ab` blocks (schema v4+), their
-`matches` flag must hold (flat/legacy engines and cache-on/off runs are
-bit-identical) and every leg must report a positive `work` alongside its
-`wall_ms` — the wall-per-work fields the PR 5 acceptance criteria gate on.
-
-When the report carries a `serve_ab` block per instance and a `serve`
-totals block (schema v5+), the warm leg must be bit-identical to the cold
-leg (`matches` per instance, `mismatches == 0` in totals) and the shared
-global cache must actually serve the warm run: `totals.serve.warm_hit_rate`
-must be at least 0.9. A daemon whose cache warmth does not carry across
-requests fails here, not in production.
-
 When the report carries a `sat_ab` block per instance and a `totals.sat`
 block (schema v7+), every non-skipped instance must hold a proven optimum
 that cross-checks against the independent exact evaluator, with no
@@ -34,7 +17,8 @@ and `proved == checked`.
 
 When the report carries `kernel_ab` blocks and a `totals.kernel` block
 (schema v8+), the Wide and Scalar kernel-backend legs must be bit-identical
-(`matches` per instance, `mismatches == 0` in totals) and the aggregate
+(`matches` per instance, `mismatches == 0` in totals), every leg must
+report a positive `work` alongside its `wall_ms`, and the aggregate
 `speedup_per_work` must be at least 1.0 — the wide backend may never be
 slower per unit work than the scalar baseline. The speedup gate only
 applies when the aggregate scalar leg is large enough to measure
@@ -52,11 +36,14 @@ has an empty `instances` list; the stream block is then required.
 With `--baseline`, every (instance, encoder) pair present in both reports
 is compared on `work` — the deterministic obs counter total, immune to
 machine noise unlike wall time. The check fails if any pair's work grew by
-more than `--max-regress` (default 0.20, i.e. +20%). Zero overlapping
-pairs is a warning, not a failure (e.g. comparing different tiers). When
-both reports carry a `totals.sat` block, each encoder's `total_gap` to the
-proven optima must additionally not grow at all — the corpus and the
-optima are deterministic, so any growth is a real heuristic regression.
+more than `--max-regress` (default 0.20, i.e. +20%); the summary also
+counts the pairs whose work is identical. Zero overlapping pairs is a
+warning, not a failure (e.g. comparing different tiers). Every (instance,
+encoder) optimality gap (`sat_ab.gaps[].gap`) present in both reports, on
+an instance neither report skipped, must additionally not grow at all —
+the corpus and the optima are deterministic, so any growth is a real
+heuristic regression. The gaps are compared per instance, never as totals:
+a report over fewer instances always sums to a smaller total.
 """
 
 import json
@@ -101,74 +88,6 @@ def check_metrics(instances):
     return None
 
 
-def check_refine(instances):
-    for inst in instances:
-        name = inst.get("name", "?")
-        refine = inst.get("refine")
-        if refine is None:
-            continue
-        if not refine.get("engines_match"):
-            return f"{name}: refine engines disagree (incremental vs naive)"
-        if not refine.get("parallel_matches_sequential"):
-            return f"{name}: refine results depend on thread count"
-        if not refine.get("runs"):
-            return f"{name}: refine block has no runs"
-    return None
-
-
-def check_ab(instances):
-    for inst in instances:
-        name = inst.get("name", "?")
-        for label in ("eval_ab", "enc_ab", "mv_ab", "kernel_ab"):
-            ab = inst.get(label)
-            if ab is None:
-                continue
-            if not ab.get("matches"):
-                return f"{name}: {label} legs disagree (engine/cache mismatch)"
-            legs = ab.get("legs")
-            if not legs:
-                return f"{name}: {label} block has no legs"
-            for leg in legs:
-                if leg.get("work", 0) <= 0:
-                    return f"{name}: {label} leg {leg.get('engine')} has no work"
-                if "wall_ms" not in leg:
-                    return f"{name}: {label} leg {leg.get('engine')} missing wall_ms"
-            hits = sum(leg.get("cache_hits", 0) for leg in legs)
-            misses = sum(leg.get("cache_misses", 0) for leg in legs)
-            if hits + misses <= 0:
-                return f"{name}: {label} records no minimize calls"
-    return None
-
-
-def check_serve(report):
-    """Schema v5 gate: the warm (shared global cache) leg must be
-    bit-identical to the cold leg and must actually hit the cache."""
-    instances = report.get("instances", [])
-    seen = False
-    for inst in instances:
-        name = inst.get("name", "?")
-        ab = inst.get("serve_ab")
-        if ab is None:
-            continue
-        seen = True
-        if not ab.get("matches"):
-            return f"{name}: serve_ab warm leg diverged from cold leg"
-        if ab.get("warm_hits", 0) + ab.get("warm_misses", 0) <= 0:
-            return f"{name}: serve_ab warm leg recorded no minimize calls"
-    if not seen:
-        return None
-    totals = report.get("totals", {}).get("serve")
-    if not isinstance(totals, dict):
-        return "serve_ab instances present but no totals.serve block"
-    if totals.get("mismatches", 1) != 0:
-        return f"totals.serve reports {totals.get('mismatches')} mismatches"
-    rate = totals.get("warm_hit_rate", 0.0)
-    if rate < 0.9:
-        return (f"totals.serve.warm_hit_rate {rate:.3f} < 0.90 — the global "
-                f"cache is not warming across runs")
-    return None
-
-
 def check_sat(report):
     """Schema v7 gate: inside the oracle's size guard the optimum must be
     proved and cross-checked, and every heuristic must sit at or above it."""
@@ -210,15 +129,16 @@ def check_sat(report):
 
 # Below this much aggregate scalar-leg wall time the kernel A/B speedup is
 # scheduler noise, not signal: a smoke run's handful of two-word instances
-# totals a few milliseconds and jitters ±2% either side of parity. The
-# checked-in large-tier reports (BENCH_pr9.json: >100 ms per leg) are what
-# the speedup gate is for; bit-identity (mismatches == 0) is gated always.
+# totals a few milliseconds and jitters ±2% either side of parity.
+# Large-tier runs (>100 ms per leg, e.g. BENCH_pr9.json) are what the
+# speedup gate is for; bit-identity (mismatches == 0) is gated always.
 KERNEL_MIN_WALL_MS = 25.0
 
 
 def check_kernel(report):
     """Schema v8 gate: the Wide and Scalar kernel backends must be
-    bit-identical on every instance (cost and work), and in aggregate the
+    bit-identical on every instance (cost and work), every leg must have
+    done measurable work, and in aggregate the
     Wide backend's wall-per-work must not regress below Scalar's. The gate
     is on the totals, not per instance: tiny instances sit at parity (a
     couple of one/two-word minimize calls have nothing to vectorize) and
@@ -228,6 +148,21 @@ def check_kernel(report):
     instances = report.get("instances", [])
     if not any(inst.get("kernel_ab") for inst in instances):
         return None
+    for inst in instances:
+        name = inst.get("name", "?")
+        ab = inst.get("kernel_ab")
+        if ab is None:
+            continue
+        if not ab.get("matches"):
+            return f"{name}: kernel_ab legs disagree (wide vs scalar)"
+        legs = ab.get("legs")
+        if not legs:
+            return f"{name}: kernel_ab block has no legs"
+        for leg in legs:
+            if leg.get("work", 0) <= 0:
+                return f"{name}: kernel_ab leg {leg.get('engine')} has no work"
+            if "wall_ms" not in leg:
+                return f"{name}: kernel_ab leg {leg.get('engine')} missing wall_ms"
     totals = report.get("totals", {}).get("kernel")
     if not isinstance(totals, dict):
         return "kernel_ab instances present but no totals.kernel block"
@@ -244,7 +179,7 @@ def check_kernel(report):
 
 # Below this much cold-leg wall time the stream A/B speedup is I/O and
 # scheduler noise: a smoke-sized huge-tier run finishes both legs in a few
-# milliseconds. The checked-in full runs are what the 5x gate is for; the
+# milliseconds. Full-sized runs are what the 5x gate is for; the
 # structural invariants (mismatches, hit rate, peak-live bound) are gated
 # always.
 STREAM_MIN_WALL_MS = 50.0
@@ -284,11 +219,14 @@ def check_stream(report):
 
 
 def sat_gap_map(report):
-    totals = report.get("totals", {}).get("sat")
-    if not isinstance(totals, dict):
-        return {}
-    return {g.get("name", "?"): g.get("total_gap", 0)
-            for g in totals.get("gaps", [])}
+    out = {}
+    for inst in report.get("instances", []):
+        ab = inst.get("sat_ab") or {}
+        if ab.get("skipped", True):
+            continue
+        for g in ab.get("gaps", []):
+            out[(inst.get("name", "?"), g.get("name", "?"))] = g.get("gap", 0)
+    return out
 
 
 def work_map(report):
@@ -304,31 +242,38 @@ def check_baseline(report, baseline_path, max_regress):
         baseline = json.load(fh)
     old = work_map(baseline)
     new = work_map(report)
-    matched = 0
+    counts = {"work": 0, "identical": 0, "gaps": 0}
     for key, old_work in sorted(old.items()):
-        if key not in new or old_work <= 0:
+        if key not in new:
             continue
-        matched += 1
+        counts["work"] += 1
+        counts["identical"] += new[key] == old_work
+        if old_work <= 0:
+            continue
         limit = old_work * (1.0 + max_regress)
         if new[key] > limit:
             inst, enc = key
             return (
                 f"{inst}/{enc}: work regressed {old_work} -> {new[key]} "
                 f"(limit {limit:.0f}, +{max_regress:.0%})",
-                matched,
+                counts,
             )
     # Optimality gaps are deterministic (fixed corpus, proven optima), so
     # any growth at all is a genuine heuristic regression — no tolerance.
     old_gaps = sat_gap_map(baseline)
     new_gaps = sat_gap_map(report)
-    for enc, old_gap in sorted(old_gaps.items()):
-        if enc in new_gaps and new_gaps[enc] > old_gap:
+    for key, old_gap in sorted(old_gaps.items()):
+        if key not in new_gaps:
+            continue
+        counts["gaps"] += 1
+        if new_gaps[key] > old_gap:
+            inst, enc = key
             return (
-                f"{enc}: optimality gap regressed {old_gap} -> "
-                f"{new_gaps[enc]} vs baseline's proven optima",
-                matched,
+                f"{inst}/{enc}: optimality gap regressed {old_gap} -> "
+                f"{new_gaps[key]} vs baseline's proven optimum",
+                counts,
             )
-    return None, matched
+    return None, counts
 
 
 def main() -> int:
@@ -346,35 +291,28 @@ def main() -> int:
         print("check_bench_metrics: no instances in report", file=sys.stderr)
         return 1
 
-    for check in (check_metrics, check_refine, check_ab):
-        err = check(instances)
-        if err:
-            print(f"check_bench_metrics: {err}", file=sys.stderr)
-            return 1
-    for check in (check_serve, check_sat, check_kernel, check_stream):
+    err = check_metrics(instances)
+    if err:
+        print(f"check_bench_metrics: {err}", file=sys.stderr)
+        return 1
+    for check in (check_sat, check_kernel, check_stream):
         err = check(report)
         if err:
             print(f"check_bench_metrics: {err}", file=sys.stderr)
             return 1
 
-    matched = None
+    counts = None
     if baseline_path is not None:
-        err, matched = check_baseline(report, baseline_path, max_regress)
+        err, counts = check_baseline(report, baseline_path, max_regress)
         if err:
             print(f"check_bench_metrics: {err}", file=sys.stderr)
             return 1
-        if matched == 0:
+        if counts["work"] == 0:
             print("check_bench_metrics: warning: no overlapping "
                   "(instance, encoder) pairs with the baseline", file=sys.stderr)
 
-    refined = sum(1 for i in instances if i.get("refine"))
     msg = (f"check_bench_metrics: OK ({len(instances)} instances, "
-           f"{refined} with refine A/B, "
            f"work {[i['metrics']['total_work'] for i in instances]}")
-    serve = report.get("totals", {}).get("serve")
-    if serve:
-        msg += (f", serve warm hit rate {serve.get('warm_hit_rate', 0):.0%}"
-                f" @ {serve.get('speedup', 0):.2f}x")
     sat = report.get("totals", {}).get("sat")
     if sat:
         msg += (f", sat proved {sat.get('proved', 0)}/{sat.get('checked', 0)}"
@@ -388,8 +326,10 @@ def main() -> int:
                 f" @ {stream.get('hit_rate', 0):.0%} hits"
                 f" (peak live {stream.get('peak_live', 0)}"
                 f"/{stream.get('live_bound', 0)})")
-    if matched is not None:
-        msg += f", {matched} baseline pairs within +{max_regress:.0%}"
+    if counts is not None:
+        msg += (f", {counts['work']} baseline work pairs within "
+                f"+{max_regress:.0%} ({counts['identical']} identical)"
+                f", {counts['gaps']} gaps no worse")
     print(msg + ")")
     return 0
 

@@ -14,20 +14,23 @@
 //!    winning encoding as a sequential run;
 //! 4. the evaluation pipeline returns bit-identical results for every
 //!    (cover engine, cache) combination — the flat engine and the
-//!    minimization memo are performance levers, never semantic ones.
+//!    minimization memo are performance levers, never semantic ones;
+//! 5. the ENC-style search follows one trajectory whether it prices on a
+//!    cold or a warm shared cache or on uncached legacy ESPRESSO.
 
 // Tests are exempt from the panic-freedom policy; clippy's in-tests
 // exemption misses integration-test helpers, so waive it explicitly.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use picola::baselines::{standard_members, standard_portfolio};
+use picola::baselines::{standard_members, standard_portfolio, EncLikeEncoder};
 use picola::constraints::{min_code_length, Encoding, GroupConstraint};
 use picola::core::{
-    evaluate_encoding_cached, Budget, CoverEngine, EvalContext, EvalOptions,
+    evaluate_encoding_cached, Budget, CoverEngine, EvalContext, EvalOptions, GlobalMinimizeCache,
 };
 use picola::sat::{exact_cost, ExactOracle};
 use picola_bench::corpus::{corpus, Instance};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 const CORPUS_SEED: u64 = 0xD1FF;
 
@@ -193,6 +196,53 @@ fn evaluation_is_identical_across_engines_and_cache_modes() {
     // functions recur across encodings and instances.
     assert!(ctxs[0].cache.hits() > 0, "corpus must produce memo hits");
     assert_eq!(ctxs[1].cache.hits(), 0, "uncached leg must never hit");
+}
+
+#[test]
+fn enc_search_is_identical_cold_warm_and_legacy() {
+    // The ENC-style baseline (minimization in the loop) takes one search
+    // trajectory however its costs are priced: cached flat against a fresh
+    // shared global cache (cold), again through that same global with a
+    // fresh per-run context (warm — what a second `encode` request sees on
+    // a running daemon), and uncached legacy ESPRESSO. The warm run must be
+    // answered almost entirely by entries the cold run left behind.
+    let flat = EncLikeEncoder {
+        max_evaluations: 120,
+        eval: EvalOptions::default(),
+    };
+    let legacy = EncLikeEncoder {
+        max_evaluations: 120,
+        eval: EvalOptions {
+            engine: CoverEngine::Legacy,
+            cache: false,
+            ..EvalOptions::default()
+        },
+    };
+    let budget = Budget::unlimited();
+    for inst in corpus(3, CORPUS_SEED) {
+        let global = Arc::new(GlobalMinimizeCache::new());
+        let run = |encoder: &EncLikeEncoder, mut ctx: EvalContext| {
+            encoder.encode_detailed_in_context(inst.n, &inst.constraints, &budget, &mut ctx)
+        };
+        let cold = run(&flat, EvalContext::with_global(Arc::clone(&global)));
+        let warm = run(&flat, EvalContext::with_global(Arc::clone(&global)));
+        let reference = run(&legacy, EvalContext::new());
+        for (leg, (enc, info)) in [("cold", &cold), ("warm", &warm)] {
+            assert_eq!(
+                (enc, info.total_cubes, info.evaluations),
+                (&reference.0, reference.1.total_cubes, reference.1.evaluations),
+                "{}: {leg} flat run diverges from uncached legacy",
+                inst.name
+            );
+        }
+        let (hits, misses) = (warm.1.cache_hits, warm.1.cache_misses);
+        assert!(
+            hits as f64 >= 0.9 * (hits + misses).max(1) as f64,
+            "{}: warm run hit the shared cache {hits} of {} times",
+            inst.name,
+            hits + misses
+        );
+    }
 }
 
 #[test]
