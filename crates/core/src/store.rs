@@ -29,7 +29,7 @@
 //!   a failing disk without inventing data.
 
 use crate::engine::{Job, JobOutput};
-use picola_constraints::{Encoding, GroupConstraint};
+use picola_constraints::{min_code_length, Encoding, GroupConstraint};
 use picola_logic::binio::{ByteReader, ByteWriter, Fnv64};
 use picola_logic::chaos;
 use std::fs;
@@ -148,6 +148,26 @@ impl StoredResult {
         }
     }
 
+    /// Whether this record can be the answer to `job` keyed with
+    /// `nv_override` (see [`key_for`]): one code per symbol, the code
+    /// length the job asks for, and `satisfied <= evaluated <=` the job's
+    /// constraint count. A content address is only a 64-bit digest, so a
+    /// record that decodes cleanly may still belong to another job;
+    /// [`StoredResult::from_bytes`] checks only what a record says of
+    /// itself.
+    #[must_use]
+    pub fn answers(&self, job: &Job, nv_override: Option<usize>) -> bool {
+        match job {
+            Job::Encode { n, constraints } => {
+                self.codes.len() == *n
+                    && self.nv == nv_override.unwrap_or_else(|| min_code_length(*n))
+                    && self.satisfied <= self.evaluated
+                    && self.evaluated <= constraints.len()
+            }
+            Job::Evaluate { .. } => false,
+        }
+    }
+
     /// The stored encoding, re-validated (the decode path has already
     /// checked it, so this cannot fail for records produced by
     /// [`ResultStore::lookup`]).
@@ -263,6 +283,18 @@ impl ResultStore {
     /// a plain miss (the disk "failed"). Never panics, never errors —
     /// the caller's fallback is always "recompute".
     pub fn lookup(&self, key: StoreKey) -> Option<StoredResult> {
+        self.lookup_for(key, |_| true)
+    }
+
+    /// [`ResultStore::lookup`] for a caller that knows the job `key` was
+    /// derived from: a record that decodes but fails `answers` (see
+    /// [`StoredResult::answers`]) is counted and returned like any other
+    /// corrupt entry.
+    pub fn lookup_for(
+        &self,
+        key: StoreKey,
+        answers: impl FnOnce(&StoredResult) -> bool,
+    ) -> Option<StoredResult> {
         if chaos::should_fire("store.io") {
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -280,7 +312,7 @@ impl ResultStore {
                 return None;
             }
         };
-        match StoredResult::from_bytes(&bytes) {
+        match StoredResult::from_bytes(&bytes).filter(answers) {
             Some(result) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(result)
@@ -431,6 +463,40 @@ mod tests {
         assert!(store.lookup(key).is_none());
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.corrupt, s.inserts), (1, 2, 1, 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_for_another_job_is_a_corrupt_miss() {
+        let dir = tmp_dir("answers");
+        let store = ResultStore::open(&dir).unwrap();
+        let key = StoreKey(0xfeed);
+        let r = sample_result(); // 6 codes, nv 3, 2 of 3 satisfied
+        assert!(store.insert(key, &r));
+        let job = |n: usize, m: usize| Job::Encode {
+            n,
+            constraints: (0..m)
+                .map(|i| GroupConstraint::new(SymbolSet::from_members(n, [i, i + 1])))
+                .collect(),
+        };
+        assert!(r.answers(&job(6, 3), None));
+        assert!(!r.answers(&job(7, 3), None), "code count");
+        assert!(!r.answers(&job(6, 3), Some(4)), "code length");
+        assert!(!r.answers(&job(6, 2), None), "evaluated > constraints");
+        let lying = StoredResult {
+            satisfied: 4,
+            ..sample_result()
+        };
+        assert!(!lying.answers(&job(6, 3), None), "satisfied > evaluated");
+        assert_eq!(
+            store.lookup_for(key, |x| x.answers(&job(6, 3), None)),
+            Some(r)
+        );
+        assert!(store
+            .lookup_for(key, |x| x.answers(&job(9, 3), None))
+            .is_none());
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.corrupt), (1, 1, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 

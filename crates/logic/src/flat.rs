@@ -67,11 +67,13 @@ pub struct FlatDomain {
     offsets: Vec<usize>,
     /// Per variable: number of parts.
     parts: Vec<usize>,
-    /// Per variable: a full-stride mask (zero outside the variable's span,
-    /// the span masks inside it), `num_vars * words` words total — lets
-    /// sweep kernels test literal emptiness without the span indirection.
-    /// Only the wide backend reads it.
-    var_masks: Vec<u64>,
+    /// Per word: the low bit of every two-part variable lying inside that
+    /// word, so [`cube_distance`] counts all of them with one
+    /// shift, mask and popcount per word.
+    pair_lo: Vec<u64>,
+    /// The variables `pair_lo` does not cover (more or fewer than two
+    /// parts, or two parts straddling a word boundary).
+    other_vars: Vec<usize>,
 }
 
 impl FlatDomain {
@@ -83,6 +85,8 @@ impl FlatDomain {
         let mut masks = Vec::new();
         let mut offsets = Vec::with_capacity(dom.num_vars());
         let mut parts = Vec::with_capacity(dom.num_vars());
+        let mut pair_lo = vec![0u64; words];
+        let mut other_vars = Vec::new();
         for v in 0..dom.num_vars() {
             let var = dom.var(v);
             let offset = var.offset();
@@ -99,15 +103,14 @@ impl FlatDomain {
                 }
                 masks.push(m);
             }
+            if var.parts() == 2 && first_word == last_word {
+                pair_lo[first_word] |= 1u64 << (offset % 64);
+            } else {
+                other_vars.push(v);
+            }
             var_spans.push((first_word, start, last_word - first_word + 1));
             offsets.push(offset);
             parts.push(var.parts());
-        }
-        let mut var_masks = vec![0u64; dom.num_vars() * words];
-        for (v, &(first_word, start, span)) in var_spans.iter().enumerate() {
-            for k in 0..span {
-                var_masks[v * words + first_word + k] = masks[start + k];
-            }
         }
         FlatDomain {
             words,
@@ -118,7 +121,8 @@ impl FlatDomain {
             masks,
             offsets,
             parts,
-            var_masks,
+            pair_lo,
+            other_vars,
         }
     }
 
@@ -187,19 +191,8 @@ impl FlatDomain {
         debug_assert!(words >= self.words);
         let mut fd = self.clone();
         fd.full.resize(words, 0);
-        fd.var_masks.clear();
-        for chunk in self.var_masks.chunks_exact(self.words) {
-            fd.var_masks.extend_from_slice(chunk);
-            fd.var_masks.resize(fd.var_masks.len() + (words - self.words), 0);
-        }
         fd.words = words;
         fd
-    }
-
-    /// The per-variable full-stride literal masks, `num_vars * words` words
-    /// (see the field doc) — the sweep kernels' view of the layout.
-    pub(crate) fn var_masks(&self) -> &[u64] {
-        &self.var_masks
     }
 }
 
@@ -227,11 +220,25 @@ pub fn cube_contains(a: &[u64], b: &[u64]) -> bool {
 }
 
 /// Number of variables whose literal is empty in the meet of `a` and `b` —
-/// the classic cube distance.
+/// the classic cube distance. Every two-part variable inside one word is
+/// counted by word-parallel bit arithmetic: at a pair's low bit,
+/// `!(m | m >> 1)` is set exactly when both of its parts are absent from
+/// the meet `m`; only the other variables take the per-variable walk.
 pub fn cube_distance(fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize {
-    (0..fd.num_vars)
-        .filter(|&v| fd.meet_var_empty(a, b, v))
-        .count()
+    let pairs: u32 = a
+        .iter()
+        .zip(b)
+        .zip(&fd.pair_lo)
+        .map(|((&x, &y), &lo)| {
+            let m = x & y;
+            (!(m | m >> 1) & lo).count_ones()
+        })
+        .sum();
+    pairs as usize
+        + fd.other_vars
+            .iter()
+            .filter(|&&v| fd.meet_var_empty(a, b, v))
+            .count()
 }
 
 /// Consensus of `a` and `b` into `out`. Returns `false` (leaving `out`
@@ -369,6 +376,10 @@ pub struct MinimizeScratch {
     free: Vec<AlignedWords>,
     pairs: Vec<(usize, usize)>,
     flags: Vec<bool>,
+    /// EXPAND's blocking-set distances (one per off cube) and part column
+    /// counts (one per part).
+    dist: Vec<u32>,
+    cols: Vec<u32>,
     /// The last multi-word domain layout, cached so back-to-back
     /// minimizations over one domain (the common shape: a search loop
     /// re-pricing covers) rebuild nothing. Keyed by the `Domain` handle;
@@ -1168,6 +1179,18 @@ fn chunk_parts(c: &[u64]) -> usize {
     c.iter().map(|&x| x.count_ones() as usize).sum()
 }
 
+/// Calls `f` with the index of every part `c` admits, in ascending order.
+#[inline]
+fn for_each_part(c: &[u64], mut f: impl FnMut(usize)) {
+    for (k, &word) in c.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(k * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// Whether `c` appears verbatim in `list` (the chunk analogue of
 /// `Vec::<Cube>::contains`, i.e. exact equality, as the legacy lift and
 /// essential-removal steps use).
@@ -1550,6 +1573,94 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
         taut
     }
 
+    /// ORs the parts `o` admits in variable `v` into the blocking mask.
+    #[inline]
+    fn block_var(&self, forbidden: &mut [u64], o: &[u64], v: usize) {
+        let (first, start, span) = self.fd.var_spans[v];
+        for k in 0..span {
+            forbidden[first + k] |= o[first + k] & self.fd.masks[start + k];
+        }
+    }
+
+    /// Blocking-set set-up for one expanded cube (ESPRESSO-MV's blocking
+    /// matrix, in incremental form): `dist[j]` is the distance from `cand`
+    /// to off cube `j`, and `forbidden` collects, over every distance-1 off
+    /// cube, its parts in the one variable where the meet is empty. A free
+    /// part `p` can then be raised without meeting the off-set exactly when
+    /// `p ∉ forbidden`. Returns `false` when `cand` already meets some off
+    /// cube (distance 0): every raise is then illegal, and `dist` is left
+    /// partial.
+    fn blocking_setup(
+        &self,
+        off: &[u64],
+        cand: &[u64],
+        dist: &mut Vec<u32>,
+        forbidden: &mut AlignedWords,
+    ) -> bool {
+        forbidden.clear();
+        forbidden.resize(self.w(), 0);
+        dist.clear();
+        for o in off.chunks_exact(self.w()) {
+            let d = cube_distance(self.fd, cand, o);
+            match d {
+                0 => return false,
+                1 => {
+                    if let Some(u) =
+                        (0..self.fd.num_vars).find(|&u| self.fd.meet_var_empty(cand, o, u))
+                    {
+                        self.block_var(forbidden, o, u);
+                    }
+                }
+                _ => {}
+            }
+            dist.push(d as u32);
+        }
+        true
+    }
+
+    /// Raises part `p` (of variable `v`, legal: `p ∉ forbidden`) in `cand`
+    /// and updates the blocking set: every off cube that admits `p` and
+    /// whose meet with `cand` was empty in `v` comes one variable closer;
+    /// one reaching distance 1 blocks its remaining conflicting variable.
+    /// Distance-1 cubes admitting `p` cannot conflict in `v` (that would
+    /// have forbidden `p`), so only distances ≥ 2 move, and none reach 0.
+    fn raise(
+        &self,
+        off: &[u64],
+        cand: &mut [u64],
+        (p, v): (usize, usize),
+        dist: &mut [u32],
+        forbidden: &mut [u64],
+    ) {
+        let (pw, pb) = (p / 64, 1u64 << (p % 64));
+        for (o, d) in off.chunks_exact(self.w()).zip(dist.iter_mut()) {
+            if *d < 2 || o[pw] & pb == 0 || !self.fd.meet_var_empty(cand, o, v) {
+                continue;
+            }
+            *d -= 1;
+            if *d == 1 {
+                // `cand` still lacks `p`, so `v` is the one variable that
+                // changes: the conflict left is the other empty one.
+                if let Some(u) =
+                    (0..self.fd.num_vars).find(|&u| u != v && self.fd.meet_var_empty(cand, o, u))
+                {
+                    self.block_var(forbidden, o, u);
+                }
+            }
+        }
+        cand[pw] |= pb;
+    }
+
+    /// EXPAND, mirroring the legacy `expand` decision for decision: cubes in
+    /// ascending part order, free parts tried by descending weight (the
+    /// number of uncovered cubes admitting the part), a part kept exactly
+    /// when the grown cube still meets no off cube. Legality is the O(1)
+    /// blocking-set test of [`MvCtx::blocking_setup`], maintained across
+    /// accepted raises by [`MvCtx::raise`] — one off-set scan per accepted
+    /// part instead of one per tried part. Weights come from per-part
+    /// column counts over the uncovered cubes, decremented as cubes become
+    /// covered (`f[i]` lacks every part it tries, so its own column entry
+    /// is already excluded).
     fn expand(&self, f: &mut AlignedWords, off: &[u64], scratch: &mut MinimizeScratch) {
         let w = self.w();
         let mut tmp = scratch.take();
@@ -1561,35 +1672,41 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
         let mut order = std::mem::take(&mut scratch.pairs);
         let mut result = scratch.take();
         let mut cand = tmp; // reuse the sort buffer for the growing cube
+        let mut cols = std::mem::take(&mut scratch.cols);
+        cols.clear();
+        cols.resize(self.fd.total_parts, 0);
+        for c in f.chunks_exact(w) {
+            for_each_part(c, |p| cols[p] += 1);
+        }
+        let mut dist = std::mem::take(&mut scratch.dist);
+        let mut forbidden = scratch.take();
         for i in 0..n {
             if covered[i] {
                 continue;
             }
             cand.clear();
             cand.extend_from_slice(&f[i * w..(i + 1) * w]);
-            order.clear();
-            for p in 0..self.fd.total_parts {
-                let (pw, pb) = (p / 64, 1u64 << (p % 64));
-                if cand[pw] & pb != 0 {
-                    continue;
+            if self.blocking_setup(off, &cand, &mut dist, &mut forbidden) {
+                order.clear();
+                for p in 0..self.fd.total_parts {
+                    if cand[p / 64] >> (p % 64) & 1 == 0 {
+                        order.push((p, cols[p] as usize));
+                    }
                 }
-                let weight = (0..n)
-                    .filter(|&j| j != i && !covered[j] && f[j * w + pw] & pb != 0)
-                    .count();
-                order.push((p, weight));
-            }
-            sort_expand_order(&mut order);
-            for &(p, _) in order.iter() {
-                let (pw, pb) = (p / 64, 1u64 << (p % 64));
-                cand[pw] |= pb;
-                let legal = self.k.sweep_meets_all_invalid(self.fd, off, w, &cand);
-                if !legal {
-                    cand[pw] &= !pb;
+                sort_expand_order(&mut order);
+                for &(p, _) in order.iter() {
+                    if forbidden[p / 64] >> (p % 64) & 1 != 0 {
+                        continue;
+                    }
+                    let v = self.fd.offsets.partition_point(|&o| o <= p) - 1;
+                    self.raise(off, &mut cand, (p, v), &mut dist, &mut forbidden);
                 }
             }
             for j in 0..n {
-                if j != i && !covered[j] && self.covers(&cand, &f[j * w..(j + 1) * w]) {
+                let cj = &f[j * w..(j + 1) * w];
+                if j != i && !covered[j] && self.covers(&cand, cj) {
                     covered[j] = true;
+                    for_each_part(cj, |p| cols[p] -= 1);
                 }
             }
             result.extend_from_slice(&cand);
@@ -1597,6 +1714,9 @@ impl<S: Stride, K: Kern> MvCtx<'_, S, K> {
         std::mem::swap(f, &mut result);
         scratch.give(result);
         scratch.give(cand);
+        scratch.give(forbidden);
+        scratch.cols = cols;
+        scratch.dist = dist;
         scratch.pairs = order;
         scratch.flags = covered;
     }
@@ -2275,6 +2395,42 @@ mod tests {
         let flat = flat_espresso(&on, &dc);
         assert_eq!(flat.len(), 1);
         assert_eq!(flat, espresso(&on, &dc));
+    }
+
+    #[test]
+    fn distance_counts_pairs_straddling_and_inside_words() {
+        // `a` sits on bits 63/64 (walked), `b` inside word 1 (bit trick).
+        let dom = crate::domain::DomainBuilder::new()
+            .multi("s", 63)
+            .binary("a")
+            .binary("b")
+            .multi("t", 3)
+            .build();
+        let fd = FlatDomain::new(&dom);
+        let mut cubes = Vec::new();
+        for bits in 0..32u32 {
+            let mut c = Cube::full(&dom);
+            for (var, bit) in [(1, 0), (2, 2)] {
+                match bits >> bit & 3 {
+                    0 => c.restrict_binary(&dom, var, false),
+                    1 => c.restrict_binary(&dom, var, true),
+                    _ => {}
+                }
+            }
+            if bits >> 4 & 1 != 0 {
+                c.restrict(&dom, 0, 62);
+                c.restrict(&dom, 3, 1);
+            }
+            cubes.push(c);
+        }
+        for a in &cubes {
+            for b in &cubes {
+                assert_eq!(
+                    cube_distance(&fd, a.words(), b.words()),
+                    a.distance(b, &dom)
+                );
+            }
+        }
     }
 
     #[test]

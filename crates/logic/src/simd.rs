@@ -165,16 +165,6 @@ pub(crate) trait Kern: Copy {
     /// Number of variables whose literal is empty in the meet — the
     /// classic cube distance.
     fn distance(self, fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize;
-
-    /// The expand legality sweep: whether the meet of `a` with **every**
-    /// cube of `list` (stride `w`) is invalid. Semantically exactly
-    /// `list.chunks_exact(w).all(|o| !self.meet_valid(fd, a, o))` — the
-    /// sweep is counter-free, so wide backends may restructure the whole
-    /// loop (amortizing per-call dispatch, keeping `a` in registers) as
-    /// long as the boolean answer is identical.
-    fn sweep_meets_all_invalid(self, fd: &FlatDomain, list: &[u64], w: usize, a: &[u64]) -> bool {
-        list.chunks_exact(w).all(|o| !self.meet_valid(fd, a, o))
-    }
 }
 
 /// The scalar backend: the engine's original word loops, verbatim.
@@ -277,69 +267,6 @@ fn wide_distance<K: Kern>(k: K, fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize 
     }
 }
 
-/// Stride-monomorphized body of the wide legality sweep: for each cube of
-/// `list`, materialize the meet with `a` as one `W`-word block and test
-/// each variable's full-stride mask ([`FlatDomain::var_masks`]) against it
-/// — `acc == 0` is exactly "the variable's literal is empty in the meet".
-/// Branch-free inner reductions keep the block in vector registers; the
-/// early returns mirror the scalar form's short-circuits bit for bit.
-#[inline(always)]
-fn sweep_body_fixed<const W: usize>(var_masks: &[u64], list: &[u64], a: &[u64]) -> bool {
-    let mut av = [0u64; W];
-    av.copy_from_slice(&a[..W]);
-    'cubes: for o in list.chunks_exact(W) {
-        let mut m = [0u64; W];
-        for k in 0..W {
-            m[k] = av[k] & o[k];
-        }
-        for vm in var_masks.chunks_exact(W) {
-            let mut acc = 0u64;
-            for k in 0..W {
-                acc |= m[k] & vm[k];
-            }
-            if acc == 0 {
-                continue 'cubes; // some literal empty: this meet is invalid
-            }
-        }
-        return false; // every literal non-empty: a valid meet exists
-    }
-    true
-}
-
-/// Runtime-stride fallback of [`sweep_body_fixed`] for rungs without a
-/// monomorphized width.
-#[inline]
-fn sweep_body_dyn(var_masks: &[u64], list: &[u64], w: usize, a: &[u64]) -> bool {
-    'cubes: for o in list.chunks_exact(w) {
-        for vm in var_masks.chunks_exact(w) {
-            let mut acc = 0u64;
-            for k in 0..w {
-                acc |= a[k] & o[k] & vm[k];
-            }
-            if acc == 0 {
-                continue 'cubes;
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// Width dispatch for the wide legality sweep — the strides the engine's
-/// rungs actually produce get the monomorphized body. `inline(always)` so
-/// the bodies land inside the AVX2 `target_feature` wrapper and pick up
-/// its codegen.
-#[inline(always)]
-fn wide_sweep_meets_all_invalid(fd: &FlatDomain, list: &[u64], w: usize, a: &[u64]) -> bool {
-    let var_masks = fd.var_masks();
-    match w {
-        2 => sweep_body_fixed::<2>(var_masks, list, a),
-        4 => sweep_body_fixed::<4>(var_masks, list, a),
-        8 => sweep_body_fixed::<8>(var_masks, list, a),
-        _ => sweep_body_dyn(var_masks, list, w, a),
-    }
-}
-
 /// The portable wide backend: 4-lane unrolled loops, compiled everywhere.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PortableKern;
@@ -388,11 +315,6 @@ impl Kern for PortableKern {
     #[inline]
     fn distance(self, fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize {
         wide_distance(self, fd, a, b)
-    }
-
-    #[inline]
-    fn sweep_meets_all_invalid(self, fd: &FlatDomain, list: &[u64], w: usize, a: &[u64]) -> bool {
-        wide_sweep_meets_all_invalid(fd, list, w, a)
     }
 }
 
@@ -454,12 +376,6 @@ impl Kern for Avx2Kern {
     #[inline]
     fn distance(self, fd: &FlatDomain, a: &[u64], b: &[u64]) -> usize {
         wide_distance(self, fd, a, b)
-    }
-
-    #[inline]
-    fn sweep_meets_all_invalid(self, fd: &FlatDomain, list: &[u64], w: usize, a: &[u64]) -> bool {
-        // SAFETY: Avx2Kern is only constructed behind `avx2_active()`.
-        unsafe { avx2::sweep_meets_all_invalid(fd, list, w, a) }
     }
 }
 
@@ -851,20 +767,6 @@ mod avx2 {
             *dp.add(i) &= !*sp.add(i);
             i += 1;
         }
-    }
-
-    /// The expand legality sweep under AVX2 codegen: one `target_feature`
-    /// boundary for the whole off-set instead of one per cube, so the
-    /// `#[inline(always)]` sweep bodies vectorize inside it and `a` stays
-    /// in registers across the list.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sweep_meets_all_invalid(
-        fd: &crate::flat::FlatDomain,
-        list: &[u64],
-        w: usize,
-        a: &[u64],
-    ) -> bool {
-        super::wide_sweep_meets_all_invalid(fd, list, w, a)
     }
 }
 

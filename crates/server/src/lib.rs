@@ -121,6 +121,9 @@ pub struct ServerStats {
     /// Encode jobs the store could not answer (no entry, corrupt entry,
     /// injected fault) — always recomputed.
     pub store_misses: u64,
+    /// The part of `store_misses` caused by an unreadable entry or one
+    /// that does not answer the job it was found under.
+    pub store_corrupt: u64,
 }
 
 #[derive(Default)]
@@ -171,6 +174,7 @@ impl Shared {
             socket_drops: self.counters.socket_drops.load(Ordering::Relaxed),
             store_hits: self.store.as_ref().map_or(0, |s| s.stats().hits),
             store_misses: self.store.as_ref().map_or(0, |s| s.stats().misses),
+            store_corrupt: self.store.as_ref().map_or(0, |s| s.stats().corrupt),
         }
     }
 }
@@ -426,6 +430,7 @@ fn handle_frame(frame: &str, writer: &mut TcpStream, shared: &Arc<Shared>) -> bo
                     .uint("cache_shards", c.shards as u64)
                     .uint("store_hits", s.store_hits)
                     .uint("store_misses", s.store_misses)
+                    .uint("store_corrupt", s.store_corrupt)
                     .bool("draining", shared.draining()),
             );
             send_response(writer, &resp, shared)
@@ -670,27 +675,16 @@ fn execute(
     }
     let job = Job::Encode { n, constraints };
     // Content-addressed store: a warm entry (always a *complete* result —
-    // degraded outputs are never persisted) answers without computing. A
-    // miss of any flavour — absent, corrupt, injected `store.io` fault —
-    // falls through to the engine, and the fresh result is persisted for
-    // the next identical job.
+    // degraded outputs are never persisted) answers without computing,
+    // once it is checked against this job (a digest collision or a stray
+    // file must not answer for another one). A miss of any flavour —
+    // absent, corrupt, for another job, injected `store.io` fault — falls
+    // through to the engine, and the fresh result is persisted for the
+    // next identical job.
     let store_key = shared.store.as_ref().and_then(|_| key_for(&job, None));
     if let (Some(store), Some(key)) = (shared.store.as_ref(), store_key) {
-        if let Some(stored) = store.lookup(key) {
-            let codes = stored
-                .codes
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            let body = Object::new()
-                .uint("n", n as u64)
-                .uint("nv", stored.nv as u64)
-                .str("codes", codes)
-                .uint("cubes", stored.total_cubes as u64)
-                .uint("satisfied", stored.satisfied as u64)
-                .uint("evaluated", stored.evaluated as u64);
-            return Ok((body, Completion::Complete));
+        if let Some(stored) = store.lookup_for(key, |r| r.answers(&job, None)) {
+            return Ok((result_body(n, &stored), Completion::Complete));
         }
     }
     match shared.engine.run(&job, budget) {
@@ -699,34 +693,19 @@ fn execute(
             evaluation,
             completion,
         }) => {
+            let result = StoredResult {
+                nv: encoding.nv(),
+                codes: encoding.codes().to_vec(),
+                total_cubes: evaluation.total_cubes,
+                satisfied: evaluation.satisfied,
+                evaluated: evaluation.evaluated,
+            };
             if completion.is_complete() {
                 if let (Some(store), Some(key)) = (shared.store.as_ref(), store_key) {
-                    store.insert(
-                        key,
-                        &StoredResult {
-                            nv: encoding.nv(),
-                            codes: encoding.codes().to_vec(),
-                            total_cubes: evaluation.total_cubes,
-                            satisfied: evaluation.satisfied,
-                            evaluated: evaluation.evaluated,
-                        },
-                    );
+                    store.insert(key, &result);
                 }
             }
-            let codes = encoding
-                .codes()
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            let body = Object::new()
-                .uint("n", n as u64)
-                .uint("nv", encoding.nv() as u64)
-                .str("codes", codes)
-                .uint("cubes", evaluation.total_cubes as u64)
-                .uint("satisfied", evaluation.satisfied as u64)
-                .uint("evaluated", evaluation.evaluated as u64);
-            Ok((body, completion))
+            Ok((result_body(n, &result), completion))
         }
         Ok(JobOutput::Evaluated { .. }) => Err(JobResponse::terminal(
             req.id.clone(),
@@ -747,6 +726,24 @@ fn execute(
         )
         .with_body(Object::new().str("error", m))),
     }
+}
+
+/// The response body of an answered encode job over `n` symbols — the
+/// same fields whether the result was computed or read from the store.
+fn result_body(n: usize, r: &StoredResult) -> Object {
+    let codes = r
+        .codes
+        .iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(",");
+    Object::new()
+        .uint("n", n as u64)
+        .uint("nv", r.nv as u64)
+        .str("codes", codes)
+        .uint("cubes", r.total_cubes as u64)
+        .uint("satisfied", r.satisfied as u64)
+        .uint("evaluated", r.evaluated as u64)
 }
 
 /// Derives an input-encoding problem from an MV PLA: the first

@@ -625,14 +625,15 @@ fn cmd_serve(cli: &Cli) -> Result<(), AppError> {
     let stats = handle.shutdown();
     errln(&format!(
         "# drained: {} completed, {} degraded, {} rejected, {} failed, {} panics contained, \
-         {} store hits / {} misses",
+         {} store hits / {} misses ({} corrupt)",
         stats.completed,
         stats.degraded,
         stats.rejected,
         stats.failed,
         stats.worker_panics,
         stats.store_hits,
-        stats.store_misses
+        stats.store_misses,
+        stats.store_corrupt
     ));
     Ok(())
 }

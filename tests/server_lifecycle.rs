@@ -480,6 +480,75 @@ fn store_warm_repeat_answers_identically() {
     let _ = std::fs::remove_dir_all(&store_dir);
 }
 
+/// A record that decodes but belongs to another job — here a 5-symbol
+/// answer planted under the key of a real 9-state machine — is a corrupt
+/// miss: the daemon recomputes, answers what a storeless daemon answers,
+/// and overwrites the entry so the next identical job hits.
+#[test]
+fn store_record_for_another_job_is_recomputed() {
+    use picola::constraints::extract_constraints;
+    use picola::core::store::{job_key, ResultStore, StoredResult};
+    use picola::fsm::symbolic_cover;
+
+    let _lock = chaos_lock();
+    let store_dir =
+        std::env::temp_dir().join(format!("picola-lifecycle-foreign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let fsm = benchmark_fsm("lion9").expect("known benchmark");
+    assert_eq!(fsm.num_states(), 9);
+    let key = job_key(9, None, &extract_constraints(&symbolic_cover(&fsm)));
+    let foreign = StoredResult {
+        nv: 3,
+        codes: vec![0, 1, 2, 3, 4],
+        total_cubes: 1,
+        satisfied: 0,
+        evaluated: 0,
+    };
+    assert!(ResultStore::open(&store_dir)
+        .expect("store")
+        .insert(key, &foreign));
+
+    let payload = write_kiss(&fsm);
+    let reference = {
+        let handle = start_server(ServerConfig::default());
+        let done = client_for(&handle)
+            .submit(&JobRequest::new("r", JobKind::EncodeKiss, payload.clone()))
+            .expect("storeless job");
+        handle.shutdown();
+        done.response
+    };
+    let handle = start_server(ServerConfig {
+        store_dir: Some(store_dir.to_string_lossy().into_owned()),
+        ..ServerConfig::default()
+    });
+    let mut client = client_for(&handle);
+    for id in ["planted", "rewritten"] {
+        let done = client
+            .submit(&JobRequest::new(id, JobKind::EncodeKiss, payload.clone()))
+            .expect("store job");
+        assert_eq!(done.response.status, Some(Status::Ok), "{id}");
+        assert_eq!(
+            done.response.body.get_str("codes"),
+            reference.body.get_str("codes"),
+            "{id}: codes"
+        );
+        for field in ["n", "nv", "cubes", "satisfied", "evaluated"] {
+            assert_eq!(
+                done.response.body.get_u64(field),
+                reference.body.get_u64(field),
+                "{id}: {field}"
+            );
+        }
+    }
+    let stats = handle.shutdown();
+    assert_eq!(
+        (stats.store_hits, stats.store_misses, stats.store_corrupt),
+        (1, 1, 1),
+        "the planted record is one corrupt miss, the rewritten one a hit"
+    );
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
 /// Every answered job is exactly one of completed/degraded/rejected/failed.
 fn handle_stats_conservation(stats: &picola::server::ServerStats) -> bool {
     // With retries, rejected/failed may exceed the happy-path job count;
